@@ -6,7 +6,7 @@ use dps_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
 use dps_bench::workloads;
-use dps_match::{Matcher, PartitionedRete, Rete, Treat};
+use dps_match::{Matcher, Rete, Treat};
 use dps_wm::{Change, WmeData, WorkingMemory};
 
 fn build(c: &mut Criterion) {
@@ -82,60 +82,53 @@ fn negation_churn(c: &mut Criterion) {
     g.finish();
 }
 
-/// X8 — intra-phase parallelism: monolithic Rete vs partitioned (serial
-/// routing) vs partitioned with threaded fan-out, on a rule set with
-/// many independent class families.
-fn partitioned(c: &mut Criterion) {
+/// Per-token cost of the beta network: one `Rete::apply` of a modify to a
+/// hot tuple that `n` tokens join. The modify retracts the old tuple
+/// (deleting `n` join tokens and their instantiations) and asserts the
+/// new one (rebuilding them), so the time per row divided by `n` is the
+/// per-token cost below the end-to-end numbers.
+fn hot_tuple_modify(c: &mut Criterion) {
     use dps_rules::RuleSet;
+    use dps_wm::{DeltaSet, Value};
 
-    // 16 independent rule families, each over its own pair of classes.
-    let mut src = String::new();
-    for f in 0..16 {
-        src.push_str(&format!(
-            "(p fam{f} (a{f} ^k <x>) (b{f} ^k <x>) --> (remove 1))\n"
-        ));
-    }
-    let rules = RuleSet::parse(&src).unwrap();
-    let mut wm = WorkingMemory::new();
-    for f in 0..16 {
-        for k in 0..20i64 {
-            wm.insert(WmeData::new(format!("a{f}")).with("k", k));
-            wm.insert(WmeData::new(format!("b{f}")).with("k", k));
+    let rules = RuleSet::parse(
+        "(p take (o ^st r ^item <i> ^q <q>) (s ^item <i> ^n >= <q> ^n <s>) --> (remove 1))",
+    )
+    .unwrap();
+    let mut g = c.benchmark_group("match_hot_tuple");
+    for &n in &[100usize, 500] {
+        let mut wm = WorkingMemory::new();
+        let hot = wm.insert(WmeData::new("s").with("item", "w").with("n", 1_000_000i64));
+        for q in 0..n as i64 {
+            wm.insert(
+                WmeData::new("o")
+                    .with("st", "r")
+                    .with("item", "w")
+                    .with("q", 1 + q % 7),
+            );
         }
+        g.bench_with_input(BenchmarkId::new("hot_tuple_modify", n), &n, |b, &n| {
+            let mut rete = Rete::new(&rules, &wm);
+            let mut wm = wm.clone();
+            let mut stock = 1_000_000i64;
+            b.iter(|| {
+                stock -= 1;
+                let mut d = DeltaSet::new();
+                d.modify(hot, [("n".into(), Value::Int(stock))]);
+                let changes = wm.apply(&d).unwrap();
+                rete.apply(black_box(&changes));
+                assert_eq!(rete.conflict_set().len(), n);
+            })
+        });
     }
-    // A batch touching every family at once.
-    let mut scratch = wm.clone();
-    let batch: Vec<Change> = (0..16)
-        .map(|f| Change::Added(scratch.insert_full(WmeData::new(format!("a{f}")).with("k", 5i64))))
-        .collect();
-
-    let mut g = c.benchmark_group("match_partitioned");
-    g.bench_function("monolithic", |b| {
-        let mut rete = Rete::new(&rules, &wm);
-        b.iter(|| rete.apply(&batch))
-    });
-    g.bench_function("partitioned_serial", |b| {
-        let mut pm = PartitionedRete::new(&rules, &wm);
-        b.iter(|| pm.apply(&batch))
-    });
-    g.bench_function("partitioned_threads", |b| {
-        let mut pm = PartitionedRete::new(&rules, &wm);
-        pm.set_parallel(true);
-        b.iter(|| pm.apply(&batch))
-    });
     g.finish();
 }
 
 /// The drain-pattern micro-bench `conflict.rs` points at (`conflict_drain`):
-/// removing every instantiation that mentions one hot WME, or every
-/// instantiation of one rule, under large fan-outs. An `InstKey` owns a
-/// `Vec<(WmeId, Timestamp)>`, so the pre-drain implementation — cloning
-/// each key out of the `by_wme` / `by_rule` index into a temporary
-/// `Vec` — paid O(conditions) heap allocations *per key* before a single
-/// removal happened; the drain pattern moves the whole index set out in
-/// one `HashMap::remove`. The per-iteration `clone` of the pre-built set
-/// is identical noise for both operations, so relative movement between
-/// this bench's rows tracks the drain path itself.
+/// removing every instantiation that mentions one hot WME under large
+/// fan-outs. The drain moves the whole `by_wme` index set out in one
+/// `HashMap::remove` instead of cloning each key into a temporary `Vec`
+/// first. The per-iteration `clone` of the pre-built set is fixed noise.
 fn conflict_drain(c: &mut Criterion) {
     use dps_match::{ConflictSet, Instantiation};
     use dps_rules::{Bindings, RuleId};
@@ -146,9 +139,9 @@ fn conflict_drain(c: &mut Criterion) {
         data: WmeData::new("c"),
         timestamp: id,
     };
-    // `fanout` instantiations all mentioning the hot WmeId(0) (and all
-    // belonging to RuleId(0)), plus an equal population of bystanders
-    // that must survive the drain untouched.
+    // `fanout` instantiations all mentioning the hot WmeId(0), plus an
+    // equal population of bystanders that must survive the drain
+    // untouched.
     let build = |fanout: usize| -> ConflictSet {
         let mut cs = ConflictSet::new();
         for i in 0..fanout as u64 {
@@ -182,17 +175,6 @@ fn conflict_drain(c: &mut Criterion) {
                 })
             },
         );
-        g.bench_with_input(
-            BenchmarkId::new("remove_of_rule", fanout),
-            &fanout,
-            |b, &fanout| {
-                b.iter(|| {
-                    let mut cs = base.clone();
-                    assert_eq!(cs.remove_of_rule(black_box(RuleId(0))).len(), fanout);
-                    black_box(cs.len())
-                })
-            },
-        );
     }
     g.finish();
 }
@@ -202,7 +184,7 @@ criterion_group!(
     build,
     incremental,
     negation_churn,
-    partitioned,
+    hot_tuple_modify,
     conflict_drain
 );
 criterion_main!(benches);

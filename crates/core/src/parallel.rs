@@ -970,7 +970,7 @@ impl ParallelEngine {
             let w = self.pipeline.watermark();
             let shards = self.pipeline.shards();
             let mut saw_claimed = false;
-            let mut found: Option<Instantiation> = None;
+            let mut found: Option<(InstKey, Instantiation)> = None;
             'shards: for off in 0..shards {
                 let s = (worker + off) % shards;
                 let mut state = self.pipeline.shard_state(s);
@@ -980,27 +980,26 @@ impl ParallelEngine {
                 // the first candidate that survives the refraction skip
                 // and held for the rest of this shard's scan.
                 let mut ledger: Option<MutexGuard<'_, Ledger>> = None;
-                for inst in state.rete.conflict_set().iter() {
-                    let key = inst.key();
-                    if state.refracted.contains(&key) {
+                for (key, inst) in state.rete.conflict_set().iter_keyed() {
+                    if state.refracted.contains(key) {
                         continue;
                     }
                     let led = ledger.get_or_insert_with(|| self.ledger.lock().unwrap());
                     if led.done || self.capped(led) {
                         break 'shards; // re-gate at the loop top
                     }
-                    if led.claimed.contains(&key) {
+                    if led.claimed.contains(key) {
                         saw_claimed = true;
                         continue;
                     }
-                    led.claimed.insert(key);
+                    led.claimed.insert(key.clone());
                     led.inflight += 1;
-                    found = Some(inst.clone());
+                    found = Some((key.clone(), inst.clone()));
                     break 'shards;
                 }
             }
             match found {
-                Some(inst) => break inst,
+                Some(claim) => break claim,
                 None => {
                     let mut ledger = self.ledger.lock().unwrap();
                     if ledger.done {
@@ -1043,13 +1042,14 @@ impl ParallelEngine {
                 }
             }
         };
-        self.execute_claim(claim);
+        let (key, inst) = claim;
+        self.execute_claim(key, inst);
         WorkerStep::Worked
     }
 
-    /// Runs one claimed instantiation as a transaction.
-    fn execute_claim(&self, inst: Instantiation) {
-        let key = inst.key();
+    /// Runs one claimed instantiation, claimed under `key`, as a
+    /// transaction.
+    fn execute_claim(&self, key: InstKey, inst: Instantiation) {
         let rule = self.rules.get(inst.rule).expect("known rule").clone();
         // Serial fallback (governor step 3): a rule past its starvation
         // bound runs alone. The guard is strictly outermost — acquired
@@ -1076,7 +1076,7 @@ impl ParallelEngine {
         let mut guard = ClaimGuard { engine: self, txn, key: key.clone(), armed: true };
         let mut worked = Duration::ZERO;
         let mut touched: Vec<u64> = Vec::new();
-        let outcome = self.try_execute(txn, &inst, &rule, &mut worked, &mut touched);
+        let outcome = self.try_execute(txn, &key, &inst, &rule, &mut worked, &mut touched);
         guard.armed = false;
         drop(guard);
         match outcome {
@@ -1208,12 +1208,12 @@ impl ParallelEngine {
     fn try_execute(
         &self,
         txn: TxnId,
+        key: &InstKey,
         inst: &Instantiation,
         rule: &dps_rules::Rule,
         worked: &mut Duration,
         touched: &mut Vec<u64>,
     ) -> Result<(), AbortCause> {
-        let key = inst.key();
         let proto = self.config.protocol;
         let mvcc = matches!(self.config.policy, ConflictPolicy::MvccSnapshot);
         // Coordination avoidance: a rule the shard planner's static
@@ -1337,7 +1337,7 @@ impl ParallelEngine {
             let mut state = self.pipeline.shard_state(s);
             self.pipeline
                 .catch_up(s, w, &mut state, true, self.obs.as_deref());
-            if !state.rete.conflict_set().contains(&key) {
+            if !state.rete.conflict_set().contains(key) {
                 return Err(AbortCause::Stale);
             }
             drop(state);
@@ -1568,7 +1568,7 @@ impl ParallelEngine {
                 let s = self.pipeline.plan().shard_of(key.rule);
                 let mut state = self.pipeline.shard_state(s);
                 self.pipeline.catch_up(s, cur, &mut state, false, obs);
-                if !state.rete.conflict_set().contains(&key) {
+                if !state.rete.conflict_set().contains(key) {
                     return Err(if mvcc {
                         AbortCause::SnapshotStale
                     } else {
@@ -1683,7 +1683,7 @@ impl ParallelEngine {
                 // purpose (validation bypassed) — the only path on
                 // which this invariant may not hold.
                 debug_assert!(
-                    state.rete.conflict_set().contains(&key)
+                    state.rete.conflict_set().contains(key)
                         || (elide && self.config.elide_misclassify)
                 );
                 self.pipeline.catch_up(own, seq, &mut state, false, obs);
@@ -1756,7 +1756,7 @@ impl ParallelEngine {
             self.metrics.commits.fetch_add(1, Relaxed);
             ledger.halted |= halt;
             ledger.claims_by_txn.remove(&txn);
-            ledger.claimed.remove(&key);
+            ledger.claimed.remove(key);
             ledger.inflight -= 1;
         }
         drop(base);

@@ -393,11 +393,14 @@ impl ParallelEngine {
                 let mut state = self.pipeline.shard_state(s);
                 self.pipeline
                     .catch_up(s, w, &mut state, true, self.obs.as_deref());
-                for inst in state.rete.conflict_set().iter() {
-                    if !state.refracted.contains(&inst.key()) {
-                        busy = true;
-                        break 'scan;
-                    }
+                if state
+                    .rete
+                    .conflict_set()
+                    .iter_keyed()
+                    .any(|(key, _)| !state.refracted.contains(key))
+                {
+                    busy = true;
+                    break 'scan;
                 }
             }
             let ledger = self.ledger.lock().unwrap();

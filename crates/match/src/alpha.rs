@@ -2,6 +2,7 @@
 //! rules and across matchers (Rete and TREAT use the same structure).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dps_rules::{ConditionElement, Predicate, RuleSet, TestAtom};
 use dps_wm::{Atom, Value, Wme, WmeId, WorkingMemory};
@@ -69,10 +70,11 @@ pub(crate) fn index_key(v: &Value) -> Value {
 }
 
 /// One alpha memory: the WMEs passing one class + constant-test signature.
+/// Members are shared with the matcher's tokens, never copied.
 #[derive(Clone, Debug, Default)]
 pub struct AlphaMemory {
-    /// Live members in insertion order (ids kept sorted for determinism).
-    wmes: Vec<Wme>,
+    /// Live members, sorted by id for determinism.
+    wmes: Vec<Arc<Wme>>,
     /// Optional per-attribute value indexes (normalised keys), registered
     /// by join nodes that test equality on the attribute.
     indexes: HashMap<Atom, HashMap<Value, Vec<WmeId>>>,
@@ -80,7 +82,7 @@ pub struct AlphaMemory {
 
 impl AlphaMemory {
     /// Live members.
-    pub fn wmes(&self) -> &[Wme] {
+    pub fn wmes(&self) -> &[Arc<Wme>] {
         &self.wmes
     }
 
@@ -95,7 +97,7 @@ impl AlphaMemory {
     }
 
     /// Looks up a member by id.
-    pub fn get(&self, id: WmeId) -> Option<&Wme> {
+    pub fn get(&self, id: WmeId) -> Option<&Arc<Wme>> {
         self.wmes
             .binary_search_by_key(&id, |w| w.id)
             .ok()
@@ -130,7 +132,7 @@ impl AlphaMemory {
             .map_or(&[], Vec::as_slice)
     }
 
-    fn insert(&mut self, wme: Wme) {
+    fn insert(&mut self, wme: Arc<Wme>) {
         for (attr, by_val) in &mut self.indexes {
             let key = index_key(&wme.get_or_nil(attr.as_str()));
             let bucket = by_val.entry(key).or_default();
@@ -190,7 +192,7 @@ impl AlphaNetwork {
             }
         }
         for wme in wm.iter() {
-            net.add_wme(wme.clone());
+            net.add_wme(Arc::new(wme.clone()));
         }
         net
     }
@@ -222,12 +224,12 @@ impl AlphaNetwork {
     }
 
     /// Adds a WME, returning the ids of the memories it entered.
-    pub fn add_wme(&mut self, wme: Wme) -> Vec<AlphaMemId> {
+    pub fn add_wme(&mut self, wme: Arc<Wme>) -> Vec<AlphaMemId> {
         let mut hits = Vec::new();
         if let Some(candidates) = self.by_class.get(wme.class()) {
             for &id in candidates {
                 if self.keys[id.0].matches(&wme) {
-                    self.mems[id.0].insert(wme.clone());
+                    self.mems[id.0].insert(Arc::clone(&wme));
                     hits.push(id);
                 }
             }
@@ -269,16 +271,16 @@ mod tests {
         (net, ids)
     }
 
-    fn wme(id: u64, class: &str, pairs: &[(&str, Value)]) -> Wme {
+    fn wme(id: u64, class: &str, pairs: &[(&str, Value)]) -> Arc<Wme> {
         let mut data = WmeData::new(class);
         for (a, v) in pairs {
             data.set(*a, v.clone());
         }
-        Wme {
+        Arc::new(Wme {
             id: WmeId(id),
             data,
             timestamp: id,
-        }
+        })
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The conflict set: all currently satisfied instantiations.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dps_rules::RuleId;
 use dps_wm::WmeId;
 
+use crate::idhash::{IdMap, IdSet};
 use crate::{InstKey, Instantiation};
 
 /// The set of active instantiations (the paper's `P^A`), with indexes for
@@ -14,11 +16,15 @@ use crate::{InstKey, Instantiation};
 /// * drop everything mentioning a WME (on its removal);
 /// * enumerate deterministically (keys are ordered) for reproducible
 ///   selection and testing.
+///
+/// Each instantiation's [`InstKey`] is built once and shared by every
+/// index as an `Arc`; lookups take a plain `&InstKey` (through
+/// `Arc: Borrow`), and [`iter_keyed`](ConflictSet::iter_keyed) hands the
+/// stored key to scanners so they need not rebuild it.
 #[derive(Clone, Debug, Default)]
 pub struct ConflictSet {
-    insts: BTreeMap<InstKey, Instantiation>,
-    by_wme: HashMap<WmeId, HashSet<InstKey>>,
-    by_rule: HashMap<RuleId, HashSet<InstKey>>,
+    insts: BTreeMap<Arc<InstKey>, Instantiation>,
+    by_wme: IdMap<WmeId, IdSet<Arc<InstKey>>>,
 }
 
 impl ConflictSet {
@@ -41,17 +47,22 @@ impl ConflictSet {
     /// Inserts an instantiation; returns `false` if it was already
     /// present (idempotent).
     pub fn insert(&mut self, inst: Instantiation) -> bool {
-        let key = inst.key();
-        if self.insts.contains_key(&key) {
+        self.insert_keyed(Arc::new(inst.key()), inst)
+    }
+
+    /// [`insert`](ConflictSet::insert) under a key the caller already
+    /// built (and keeps a handle to); `key` must equal `inst.key()`.
+    pub(crate) fn insert_keyed(&mut self, key: Arc<InstKey>, inst: Instantiation) -> bool {
+        debug_assert_eq!(*key, inst.key());
+        if self.insts.contains_key(&*key) {
             return false;
         }
         for w in &inst.wmes {
-            self.by_wme.entry(w.id).or_default().insert(key.clone());
+            self.by_wme
+                .entry(w.id)
+                .or_default()
+                .insert(Arc::clone(&key));
         }
-        self.by_rule
-            .entry(inst.rule)
-            .or_default()
-            .insert(key.clone());
         self.insts.insert(key, inst);
         true
     }
@@ -67,23 +78,14 @@ impl ConflictSet {
                 }
             }
         }
-        if let Some(set) = self.by_rule.get_mut(&inst.rule) {
-            set.remove(key);
-            if set.is_empty() {
-                self.by_rule.remove(&inst.rule);
-            }
-        }
         Some(inst)
     }
 
     /// Removes every instantiation mentioning `id`; returns how many left.
     ///
-    /// Takes the whole `by_wme` index set out of the map in one move
-    /// instead of cloning each `InstKey` into a temporary `Vec` (an
-    /// `InstKey` owns a `Vec<(WmeId, Timestamp)>`, so the old per-key
-    /// clones were O(conditions) heap allocations each; see the
-    /// micro-bench note in `benches::conflict_drain`). `remove` tolerates
-    /// the already-removed `by_wme` entry (`get_mut` → `None`).
+    /// Takes the whole `by_wme` index set out of the map in one move;
+    /// `remove` tolerates the already-removed `by_wme` entry
+    /// (`get_mut` → `None`).
     pub fn remove_mentioning(&mut self, id: WmeId) -> usize {
         let keys = self.by_wme.remove(&id).unwrap_or_default();
         let n = keys.len();
@@ -91,17 +93,6 @@ impl ConflictSet {
             self.remove(k);
         }
         n
-    }
-
-    /// Removes every instantiation of a rule; returns them.
-    ///
-    /// Same drain-the-index pattern as [`remove_mentioning`]: the
-    /// `by_rule` set is moved out wholesale, so no `InstKey` is cloned.
-    ///
-    /// [`remove_mentioning`]: ConflictSet::remove_mentioning
-    pub fn remove_of_rule(&mut self, rule: RuleId) -> Vec<Instantiation> {
-        let keys = self.by_rule.remove(&rule).unwrap_or_default();
-        keys.iter().filter_map(|k| self.remove(k)).collect()
     }
 
     /// `true` when the key is present.
@@ -119,14 +110,15 @@ impl ConflictSet {
         self.insts.values()
     }
 
+    /// Iterates `(key, instantiation)` pairs in key order, handing out
+    /// the stored key instead of rebuilding it per entry.
+    pub fn iter_keyed(&self) -> impl Iterator<Item = (&InstKey, &Instantiation)> {
+        self.insts.iter().map(|(k, i)| (&**k, i))
+    }
+
     /// Instantiations of one rule, in key order.
     pub fn of_rule(&self, rule: RuleId) -> impl Iterator<Item = &Instantiation> + '_ {
         self.insts.values().filter(move |i| i.rule == rule)
-    }
-
-    /// The distinct rules currently active.
-    pub fn active_rules(&self) -> impl Iterator<Item = RuleId> + '_ {
-        self.by_rule.keys().copied()
     }
 }
 
@@ -173,17 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_of_rule() {
-        let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[(1, 1)]));
-        cs.insert(inst(0, &[(2, 2)]));
-        cs.insert(inst(1, &[(3, 3)]));
-        let removed = cs.remove_of_rule(RuleId(0));
-        assert_eq!(removed.len(), 2);
-        assert_eq!(cs.len(), 1);
-    }
-
-    #[test]
     fn indexes_stay_consistent_after_removals() {
         let mut cs = ConflictSet::new();
         let i = inst(0, &[(1, 1)]);
@@ -193,7 +174,6 @@ mod tests {
         assert!(cs.is_empty());
         assert_eq!(cs.remove_mentioning(WmeId(1)), 0);
         assert!(cs.remove(&k).is_none());
-        assert_eq!(cs.active_rules().count(), 0);
     }
 
     #[test]
@@ -204,6 +184,17 @@ mod tests {
         cs.insert(inst(0, &[(2, 2)]));
         let order: Vec<(u32, u64)> = cs.iter().map(|i| (i.rule.0, i.wmes[0].id.0)).collect();
         assert_eq!(order, [(0, 2), (0, 9), (1, 5)]);
+    }
+
+    #[test]
+    fn iter_keyed_pairs_each_instantiation_with_its_key() {
+        let mut cs = ConflictSet::new();
+        cs.insert(inst(1, &[(5, 5)]));
+        cs.insert(inst(0, &[(2, 2), (3, 3)]));
+        for (k, i) in cs.iter_keyed() {
+            assert_eq!(*k, i.key());
+        }
+        assert_eq!(cs.iter_keyed().count(), 2);
     }
 
     #[test]

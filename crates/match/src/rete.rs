@@ -30,22 +30,31 @@
 //! and children, a WME-to-token index locates all tokens carrying a
 //! retracted WME, and negative nodes keep per-token join-result sets so a
 //! retraction can *enable* previously blocked tokens.
+//!
+//! **Copy-free activations**: WMEs enter the network once as `Arc<Wme>`
+//! (alpha memories, tokens and chains share them), and every token owns
+//! its condition-indexed chain, built once when the token is allocated.
+//! Join tests, index probes and production delivery read that chain in
+//! place; nothing on an activation path clones a WME's payload.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use dps_rules::{Bindings, Condition, Predicate, Rule, RuleId, RuleSet, TestAtom, VarName};
 use dps_wm::{Atom, Change, Timestamp, Value, Wme, WmeId, WorkingMemory};
 
 use crate::alpha::index_key;
-use crate::{AlphaMemId, AlphaNetwork, ConflictSet, Matcher};
+use crate::idhash::{IdMap, IdSet};
+use crate::{AlphaMemId, AlphaNetwork, ConflictSet, InstKey, Instantiation, Matcher};
 
 /// Index of a node in the Rete graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct NodeId(usize);
 
-/// Identifier of a token. Monotonic, never reused.
+/// Identifier of a token: its slot in the token arena. A slot is reused
+/// once its token is deleted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct TokenId(u64);
+struct TokenId(u32);
 
 /// Where a join test reads its right-hand value.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -72,16 +81,29 @@ struct JoinTest {
     target: TestTarget,
 }
 
+/// A token's condition-indexed WME chain: entry `c` is the WME matched
+/// at condition `c`, `None` for a negated condition. Shared, so handing a
+/// chain out of the token table is one reference-count bump.
+type Chain = Arc<[Option<Arc<Wme>>]>;
+
 /// A token: a partial match covering conditions `0..=level`.
 #[derive(Clone, Debug)]
 struct Token {
     parent: Option<TokenId>,
-    /// The WME matched at this token's condition (`None` for the dummy
-    /// token and for negative-node output tokens).
-    wme: Option<Wme>,
+    /// The parent's chain plus this token's own entry (empty for the
+    /// dummy token).
+    chain: Chain,
     /// Node that owns (stores) this token.
     owner: NodeId,
     children: Vec<TokenId>,
+}
+
+impl Token {
+    /// The WME matched at this token's own condition (`None` for the
+    /// dummy token and for negative-node output tokens).
+    fn wme(&self) -> Option<&Arc<Wme>> {
+        self.chain.last().and_then(Option::as_ref)
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -90,7 +112,7 @@ enum Node {
     /// negative and production nodes.
     Memory {
         tokens: BTreeSet<TokenId>,
-        children: Vec<NodeId>,
+        children: Arc<[NodeId]>,
     },
     /// Join between `parent` source tokens and `amem`. Its child is the
     /// beta memory receiving matched (token, wme) pairs. When the tests
@@ -111,10 +133,10 @@ enum Node {
         amem: AlphaMemId,
         tests: Vec<JoinTest>,
         /// input token → (matching wme ids, output token if none match)
-        entries: HashMap<TokenId, NegEntry>,
+        entries: IdMap<TokenId, NegEntry>,
         /// Output tokens (for source iteration by downstream joins).
         tokens: BTreeSet<TokenId>,
-        children: Vec<NodeId>,
+        children: Arc<[NodeId]>,
     },
     /// Terminal node: materialises instantiations.
     Production {
@@ -125,7 +147,7 @@ enum Node {
         /// Which condition indices are positive (for wme extraction).
         positive_conds: Vec<usize>,
         /// final token → instantiation key in the conflict set.
-        insts: HashMap<TokenId, crate::InstKey>,
+        insts: IdMap<TokenId, Arc<InstKey>>,
     },
 }
 
@@ -145,7 +167,7 @@ struct JoinIndex {
 
 #[derive(Clone, Debug, Default)]
 struct NegEntry {
-    results: HashSet<WmeId>,
+    results: IdSet<WmeId>,
     out: Option<TokenId>,
 }
 
@@ -176,15 +198,17 @@ pub struct Rete {
     alpha: AlphaNetwork,
     nodes: Vec<Node>,
     /// Join/negative nodes attached to each alpha memory, in build order.
-    amem_successors: HashMap<AlphaMemId, Vec<NodeId>>,
+    amem_successors: HashMap<AlphaMemId, Arc<[NodeId]>>,
     /// Sharing keys for join/negative/memory nodes.
     join_share: HashMap<(NodeId, AlphaMemId, Vec<JoinTest>, bool), NodeId>,
-    tokens: HashMap<TokenId, Token>,
-    next_token: u64,
+    /// Token arena, indexed by [`TokenId`]; `None` marks a free slot.
+    tokens: Vec<Option<Token>>,
+    /// Free slots of `tokens`, reused before the arena grows.
+    free_tokens: Vec<TokenId>,
     /// Tokens whose own `wme` is this id.
-    tokens_by_wme: HashMap<WmeId, HashSet<TokenId>>,
+    tokens_by_wme: IdMap<WmeId, IdSet<TokenId>>,
     /// (negative node, input token) pairs whose result set contains the id.
-    neg_by_wme: HashMap<WmeId, HashSet<(NodeId, TokenId)>>,
+    neg_by_wme: IdMap<WmeId, IdSet<(NodeId, TokenId)>>,
     conflict: ConflictSet,
     stats: ReteStats,
     top: NodeId,
@@ -204,9 +228,8 @@ impl Rete {
     /// The given ids are stored verbatim in the production nodes, so the
     /// resulting conflict set speaks the *caller's* id space. This is
     /// what lets a match shard own a Rete over a subset of the rule set
-    /// while still emitting global rule ids — no translation layer, no
-    /// re-merge (contrast [`crate::PartitionedRete`], which pays a
-    /// local→global rewrite per affected component).
+    /// while still emitting global rule ids — no translation layer and no
+    /// re-merged conflict set (see [`crate::ShardedRete`]).
     pub fn with_rules<'a>(
         rules: impl IntoIterator<Item = (RuleId, &'a Rule)>,
         wm: &WorkingMemory,
@@ -215,14 +238,14 @@ impl Rete {
             alpha: AlphaNetwork::default(),
             nodes: vec![Node::Memory {
                 tokens: BTreeSet::new(),
-                children: Vec::new(),
+                children: Arc::new([]),
             }],
             amem_successors: HashMap::new(),
             join_share: HashMap::new(),
-            tokens: HashMap::new(),
-            next_token: 0,
-            tokens_by_wme: HashMap::new(),
-            neg_by_wme: HashMap::new(),
+            tokens: Vec::new(),
+            free_tokens: Vec::new(),
+            tokens_by_wme: IdMap::default(),
+            neg_by_wme: IdMap::default(),
             conflict: ConflictSet::new(),
             stats: ReteStats::default(),
             top: NodeId(0),
@@ -238,7 +261,7 @@ impl Rete {
             rete.compile_rule(id, rule);
         }
         for wme in wm.iter() {
-            rete.add_wme(wme.clone());
+            rete.add_wme(Arc::new(wme.clone()));
         }
         rete
     }
@@ -247,7 +270,7 @@ impl Rete {
     pub fn stats(&self) -> ReteStats {
         let mut s = self.stats;
         s.alpha_memories = self.alpha.memory_count();
-        s.tokens = self.tokens.len() - 1; // exclude the dummy
+        s.tokens = self.tokens.len() - self.free_tokens.len() - 1; // exclude the dummy
         for n in &self.nodes {
             match n {
                 Node::Memory { .. } | Node::Negative { .. } => s.beta_nodes += 1,
@@ -346,7 +369,7 @@ impl Rete {
             salience: rule.salience,
             binding_map,
             positive_conds,
-            insts: HashMap::new(),
+            insts: IdMap::default(),
         });
         self.add_child(source, pnode);
         // Activate for tokens already in the source (sharing may reuse a
@@ -393,10 +416,10 @@ impl Rete {
         });
         self.nodes.push(Node::Memory {
             tokens: BTreeSet::new(),
-            children: Vec::new(),
+            children: Arc::new([]),
         });
         self.add_child(parent, join);
-        self.amem_successors.entry(amem).or_default().push(join);
+        self.add_successor(amem, join);
         self.join_share.insert(key, join);
         // Populate from existing state (tokens × amem).
         let parent_tokens = self.source_tokens(parent);
@@ -421,12 +444,12 @@ impl Rete {
         self.nodes.push(Node::Negative {
             amem,
             tests,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             tokens: BTreeSet::new(),
-            children: Vec::new(),
+            children: Arc::new([]),
         });
         self.add_child(parent, neg);
-        self.amem_successors.entry(amem).or_default().push(neg);
+        self.add_successor(amem, neg);
         self.join_share.insert(key, neg);
         for t in self.source_tokens(parent) {
             self.negative_left_activate(neg, t);
@@ -436,72 +459,98 @@ impl Rete {
 
     fn add_child(&mut self, parent: NodeId, child: NodeId) {
         match &mut self.nodes[parent.0] {
-            Node::Memory { children, .. } | Node::Negative { children, .. } => children.push(child),
+            Node::Memory { children, .. } | Node::Negative { children, .. } => {
+                *children = children.iter().copied().chain([child]).collect();
+            }
             _ => unreachable!("only sources have children"),
         }
+    }
+
+    fn add_successor(&mut self, amem: AlphaMemId, node: NodeId) {
+        let succs = self
+            .amem_successors
+            .entry(amem)
+            .or_insert_with(|| Arc::new([]));
+        *succs = succs.iter().copied().chain([node]).collect();
     }
 
     // -------------------------------------------------------------
     // Token plumbing
     // -------------------------------------------------------------
 
-    fn alloc_token(&mut self, parent: Option<TokenId>, wme: Option<Wme>, owner: NodeId) -> TokenId {
-        let id = TokenId(self.next_token);
-        self.next_token += 1;
+    /// Allocates a token under `parent` (`None` only for the dummy),
+    /// extending the parent's chain with `wme`. The dummy token does not
+    /// track its children: it is never deleted.
+    fn alloc_token(
+        &mut self,
+        parent: Option<TokenId>,
+        wme: Option<Arc<Wme>>,
+        owner: NodeId,
+    ) -> TokenId {
+        let id = match self.free_tokens.pop() {
+            Some(id) => id,
+            None => {
+                self.tokens.push(None);
+                TokenId(u32::try_from(self.tokens.len() - 1).expect("token arena overflow"))
+            }
+        };
         if let Some(w) = &wme {
             self.tokens_by_wme.entry(w.id).or_default().insert(id);
         }
-        if let Some(p) = parent {
-            if let Some(pt) = self.tokens.get_mut(&p) {
-                pt.children.push(id);
+        let chain: Chain = match parent {
+            Some(p) => {
+                let is_dummy = p == self.dummy;
+                let pt = self.token_mut(p).expect("parent token is live");
+                if !is_dummy {
+                    pt.children.push(id);
+                }
+                pt.chain.iter().cloned().chain([wme]).collect()
             }
-        }
-        self.tokens.insert(
-            id,
-            Token {
-                parent,
-                wme,
-                owner,
-                children: Vec::new(),
-            },
-        );
+            None => Arc::new([]),
+        };
+        self.tokens[id.0 as usize] = Some(Token {
+            parent,
+            chain,
+            owner,
+            children: Vec::new(),
+        });
         id
     }
 
-    /// The full condition-indexed chain of WMEs for a token (dummy token
-    /// excluded). Index = condition index; `None` for negative conditions.
-    fn token_chain(&self, mut tid: TokenId) -> Vec<Option<Wme>> {
-        let mut rev = Vec::new();
-        while tid != self.dummy {
-            let t = &self.tokens[&tid];
-            rev.push(t.wme.clone());
-            match t.parent {
-                Some(p) => tid = p,
-                None => break,
-            }
-        }
-        rev.reverse();
-        rev
+    /// The live token in slot `tid`, if any.
+    fn token_mut(&mut self, tid: TokenId) -> Option<&mut Token> {
+        self.tokens[tid.0 as usize].as_mut()
     }
 
-    fn source_tokens(&self, node: NodeId) -> Vec<TokenId> {
+    /// A token's condition-indexed chain (see [`Chain`]).
+    fn chain(&self, tid: TokenId) -> &[Option<Arc<Wme>>] {
+        &self.tokens[tid.0 as usize]
+            .as_ref()
+            .expect("live token")
+            .chain
+    }
+
+    fn source_token_set(&self, node: NodeId) -> &BTreeSet<TokenId> {
         match &self.nodes[node.0] {
-            Node::Memory { tokens, .. } | Node::Negative { tokens, .. } => {
-                tokens.iter().copied().collect()
-            }
+            Node::Memory { tokens, .. } | Node::Negative { tokens, .. } => tokens,
             _ => unreachable!("only sources hold tokens"),
         }
     }
 
-    fn source_children(&self, node: NodeId) -> Vec<NodeId> {
+    fn source_tokens(&self, node: NodeId) -> Vec<TokenId> {
+        self.source_token_set(node).iter().copied().collect()
+    }
+
+    /// A source's children (shared: the list is fixed once compiled).
+    fn source_children(&self, node: NodeId) -> Arc<[NodeId]> {
         match &self.nodes[node.0] {
-            Node::Memory { children, .. } | Node::Negative { children, .. } => children.clone(),
+            Node::Memory { children, .. } | Node::Negative { children, .. } => Arc::clone(children),
             _ => unreachable!(),
         }
     }
 
     /// The normalised token-side key of `chain` for a join index.
-    fn chain_key(chain: &[Option<Wme>], cond: usize, attr: &str) -> Value {
+    fn chain_key(chain: &[Option<Arc<Wme>>], cond: usize, attr: &str) -> Value {
         match chain.get(cond) {
             Some(Some(w)) => index_key(&w.get_or_nil(attr)),
             _ => Value::Nil,
@@ -516,8 +565,7 @@ impl Rete {
         else {
             return;
         };
-        let (cond, attr) = (ix.cond, ix.attr.clone());
-        let key = Self::chain_key(&self.token_chain(token), cond, attr.as_str());
+        let key = Self::chain_key(self.chain(token), ix.cond, ix.attr.as_str());
         let Node::Join {
             index: Some(ix), ..
         } = &mut self.nodes[join.0]
@@ -528,7 +576,7 @@ impl Rete {
     }
 
     /// Removes `token` from a join's hash index.
-    fn unindex_token(&mut self, join: NodeId, token: TokenId, chain: &[Option<Wme>]) {
+    fn unindex_token(&mut self, join: NodeId, token: TokenId, chain: &[Option<Arc<Wme>>]) {
         let Node::Join {
             index: Some(ix), ..
         } = &self.nodes[join.0]
@@ -550,7 +598,7 @@ impl Rete {
         }
     }
 
-    fn eval_tests(&self, tests: &[JoinTest], chain: &[Option<Wme>], new: &Wme) -> bool {
+    fn eval_tests(tests: &[JoinTest], chain: &[Option<Arc<Wme>>], new: &Wme) -> bool {
         tests.iter().all(|t| {
             let left = new.get_or_nil(t.new_attr.as_str());
             let right = match &t.target {
@@ -572,12 +620,12 @@ impl Rete {
     fn source_token_added(&mut self, source: NodeId, token: TokenId) {
         let children = self.source_children(source);
         // Register in all indexed joins first, then activate.
-        for &child in &children {
+        for &child in children.iter() {
             if matches!(&self.nodes[child.0], Node::Join { index: Some(_), .. }) {
                 self.index_token(child, token);
             }
         }
-        for child in children {
+        for &child in children.iter() {
             match &self.nodes[child.0] {
                 Node::Join { .. } => self.join_left_activate(child, token),
                 Node::Negative { .. } => self.negative_left_activate(child, token),
@@ -599,30 +647,30 @@ impl Rete {
         else {
             unreachable!()
         };
-        let (amem, tests, out) = (*amem, tests.clone(), *out);
-        let probe = index
-            .as_ref()
-            .map(|ix| (ix.new_attr.clone(), ix.cond, ix.attr.clone()));
-        let chain = self.token_chain(token);
-        let candidates: Vec<Wme> = match probe {
-            Some((new_attr, cond, attr)) => {
-                let key = Self::chain_key(&chain, cond, attr.as_str());
-                let mem = self.alpha.memory(amem);
-                mem.lookup(new_attr.as_str(), &key)
+        let out = *out;
+        let chain = self.chain(token);
+        let mem = self.alpha.memory(*amem);
+        let passes = |w: &&Arc<Wme>| Self::eval_tests(tests, chain, w);
+        // Tests are evaluated up front: activating `out` only adds tokens
+        // below this join, so it cannot change the candidates' outcome.
+        let matched: Vec<Arc<Wme>> = match index {
+            Some(ix) => {
+                let key = Self::chain_key(chain, ix.cond, ix.attr.as_str());
+                mem.lookup(ix.new_attr.as_str(), &key)
                     .iter()
-                    .filter_map(|&id| mem.get(id).cloned())
+                    .filter_map(|&id| mem.get(id))
+                    .filter(passes)
+                    .cloned()
                     .collect()
             }
-            None => self.alpha.memory(amem).wmes().to_vec(),
+            None => mem.wmes().iter().filter(passes).cloned().collect(),
         };
-        for w in candidates {
-            if self.eval_tests(&tests, &chain, &w) {
-                self.memory_add_token(out, token, w);
-            }
+        for w in matched {
+            self.memory_add_token(out, token, w);
         }
     }
 
-    fn join_right_activate(&mut self, join: NodeId, w: &Wme) {
+    fn join_right_activate(&mut self, join: NodeId, w: &Arc<Wme>) {
         self.stats.right_activations += 1;
         let Node::Join {
             parent,
@@ -634,26 +682,32 @@ impl Rete {
         else {
             unreachable!()
         };
-        let (parent, tests, out) = (*parent, tests.clone(), *out);
-        let tokens: Vec<TokenId> = match index {
+        let out = *out;
+        let passes = |t: &TokenId| Self::eval_tests(tests, self.chain(*t), w);
+        let matched: Vec<TokenId> = match index {
             Some(ix) => {
                 let key = index_key(&w.get_or_nil(ix.new_attr.as_str()));
                 ix.tokens_by_key
                     .get(&key)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default()
+                    .into_iter()
+                    .flatten()
+                    .copied()
+                    .filter(passes)
+                    .collect()
             }
-            None => self.source_tokens(parent),
+            None => self
+                .source_token_set(*parent)
+                .iter()
+                .copied()
+                .filter(passes)
+                .collect(),
         };
-        for t in tokens {
-            let chain = self.token_chain(t);
-            if self.eval_tests(&tests, &chain, w) {
-                self.memory_add_token(out, t, w.clone());
-            }
+        for t in matched {
+            self.memory_add_token(out, t, Arc::clone(w));
         }
     }
 
-    fn memory_add_token(&mut self, mem: NodeId, parent: TokenId, w: Wme) {
+    fn memory_add_token(&mut self, mem: NodeId, parent: TokenId, w: Arc<Wme>) {
         let tid = self.alloc_token(Some(parent), Some(w), mem);
         let Node::Memory { tokens, .. } = &mut self.nodes[mem.0] else {
             unreachable!()
@@ -667,14 +721,13 @@ impl Rete {
         let Node::Negative { amem, tests, .. } = &self.nodes[neg.0] else {
             unreachable!()
         };
-        let (amem, tests) = (*amem, tests.clone());
-        let chain = self.token_chain(input);
-        let results: HashSet<WmeId> = self
+        let chain = self.chain(input);
+        let results: IdSet<WmeId> = self
             .alpha
-            .memory(amem)
+            .memory(*amem)
             .wmes()
             .iter()
-            .filter(|w| self.eval_tests(&tests, &chain, w))
+            .filter(|w| Self::eval_tests(tests, chain, w))
             .map(|w| w.id)
             .collect();
         for wid in &results {
@@ -714,13 +767,14 @@ impl Rete {
         let Node::Negative { tests, entries, .. } = &self.nodes[neg.0] else {
             unreachable!()
         };
-        let tests = tests.clone();
-        let inputs: Vec<TokenId> = entries.keys().copied().collect();
-        for input in inputs {
-            let chain = self.token_chain(input);
-            if !self.eval_tests(&tests, &chain, w) {
-                continue;
-            }
+        // Retracting an output token only deletes tokens below this
+        // node, so no input's test outcome changes in between.
+        let blocked: Vec<TokenId> = entries
+            .keys()
+            .copied()
+            .filter(|t| Self::eval_tests(tests, self.chain(*t), w))
+            .collect();
+        for input in blocked {
             self.neg_by_wme
                 .entry(w.id)
                 .or_default()
@@ -741,39 +795,42 @@ impl Rete {
     }
 
     fn deliver_to_production(&mut self, pnode: NodeId, token: TokenId) {
-        let chain = self.token_chain(token);
+        let chain = &self.tokens[token.0 as usize]
+            .as_ref()
+            .expect("live token")
+            .chain;
         let Node::Production {
             rule,
             salience,
             binding_map,
             positive_conds,
-            ..
-        } = &self.nodes[pnode.0]
+            insts,
+        } = &mut self.nodes[pnode.0]
         else {
             unreachable!()
         };
         let mut bindings = Bindings::new();
-        for (var, cond, attr) in binding_map {
+        for (var, cond, attr) in binding_map.iter() {
             if let Some(Some(w)) = chain.get(*cond) {
                 bindings.bind(var.clone(), w.get_or_nil(attr.as_str()));
             }
         }
         let wmes: Vec<Wme> = positive_conds
             .iter()
-            .filter_map(|&c| chain.get(c).cloned().flatten())
+            .filter_map(|&c| chain.get(c)?.as_deref().cloned())
             .collect();
-        let inst = crate::Instantiation {
+        let key = Arc::new(InstKey {
+            rule: *rule,
+            wmes: wmes.iter().map(|w| (w.id, w.timestamp)).collect(),
+        });
+        insts.insert(token, Arc::clone(&key));
+        let inst = Instantiation {
             rule: *rule,
             wmes,
             bindings,
             salience: *salience,
         };
-        let key = inst.key();
-        self.conflict.insert(inst);
-        let Node::Production { insts, .. } = &mut self.nodes[pnode.0] else {
-            unreachable!()
-        };
-        insts.insert(token, key);
+        self.conflict.insert_keyed(key, inst);
     }
 
     // -------------------------------------------------------------
@@ -781,33 +838,27 @@ impl Rete {
     // -------------------------------------------------------------
 
     fn delete_token(&mut self, tid: TokenId) {
-        let Some(token) = self.tokens.get(&tid) else {
+        let Some(token) = self.token_mut(tid) else {
             return;
         };
-        let children = token.children.clone();
+        let children = std::mem::take(&mut token.children);
         let owner = token.owner;
         let parent = token.parent;
-        let wme_id = token.wme.as_ref().map(|w| w.id);
+        let wme_id = token.wme().map(|w| w.id);
+        let chain = Arc::clone(&token.chain);
         for c in children {
             self.delete_token(c);
         }
-        // Drop the token from sibling join hash indexes (chain walk needs
-        // the token's parents, which are still intact here).
+        // Drop the token from sibling join hash indexes.
         let owner_children = self.source_children(owner);
-        if owner_children
-            .iter()
-            .any(|c| matches!(&self.nodes[c.0], Node::Join { index: Some(_), .. }))
-        {
-            let chain = self.token_chain(tid);
-            for &child in &owner_children {
-                if matches!(&self.nodes[child.0], Node::Join { index: Some(_), .. }) {
-                    self.unindex_token(child, tid, &chain);
-                }
+        for &child in owner_children.iter() {
+            if matches!(&self.nodes[child.0], Node::Join { index: Some(_), .. }) {
+                self.unindex_token(child, tid, &chain);
             }
         }
         // Production retractions: the owner's production children hold
         // instantiations keyed by this token.
-        for child in owner_children {
+        for &child in owner_children.iter() {
             if let Node::Production { insts, .. } = &mut self.nodes[child.0] {
                 if let Some(key) = insts.remove(&tid) {
                     self.conflict.remove(&key);
@@ -837,7 +888,7 @@ impl Rete {
         // If this token is an *input* of negative children, drop their
         // entries and index links (output tokens are our children and are
         // already gone).
-        for child in self.source_children(owner) {
+        for &child in owner_children.iter() {
             if let Node::Negative { entries, .. } = &mut self.nodes[child.0] {
                 if let Some(entry) = entries.remove(&tid) {
                     for wid in entry.results {
@@ -848,8 +899,8 @@ impl Rete {
                 }
             }
         }
-        if let Some(p) = parent {
-            if let Some(pt) = self.tokens.get_mut(&p) {
+        if let Some(p) = parent.filter(|&p| p != self.dummy) {
+            if let Some(pt) = self.token_mut(p) {
                 pt.children.retain(|&c| c != tid);
             }
         }
@@ -861,18 +912,21 @@ impl Rete {
                 }
             }
         }
-        self.tokens.remove(&tid);
+        self.tokens[tid.0 as usize] = None;
+        self.free_tokens.push(tid);
     }
 
     // -------------------------------------------------------------
     // WME-level entry points
     // -------------------------------------------------------------
 
-    fn add_wme(&mut self, wme: Wme) {
-        let hits = self.alpha.add_wme(wme.clone());
+    fn add_wme(&mut self, wme: Arc<Wme>) {
+        let hits = self.alpha.add_wme(Arc::clone(&wme));
         for amem in hits {
-            let succs = self.amem_successors.get(&amem).cloned().unwrap_or_default();
-            for node in succs {
+            let Some(succs) = self.amem_successors.get(&amem).cloned() else {
+                continue;
+            };
+            for &node in succs.iter() {
                 match &self.nodes[node.0] {
                     Node::Join { .. } => self.join_right_activate(node, &wme),
                     Node::Negative { .. } => self.negative_right_activate(node, &wme),
@@ -884,12 +938,9 @@ impl Rete {
 
     fn remove_wme(&mut self, class: &Atom, id: WmeId) {
         self.alpha.remove_wme(class, id);
-        // Kill tokens carrying the WME.
-        let carriers: Vec<TokenId> = self
-            .tokens_by_wme
-            .get(&id)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
+        // Kill tokens carrying the WME (`delete_token` tolerates the
+        // already-drained index entry).
+        let carriers = self.tokens_by_wme.remove(&id).unwrap_or_default();
         for t in carriers {
             self.delete_token(t);
         }
@@ -924,8 +975,9 @@ impl Rete {
     pub fn live_token_timestamps(&self) -> Vec<Timestamp> {
         let mut ts: Vec<Timestamp> = self
             .tokens
-            .values()
-            .filter_map(|t| t.wme.as_ref().map(|w| w.timestamp))
+            .iter()
+            .flatten()
+            .filter_map(|t| t.wme().map(|w| w.timestamp))
             .collect();
         ts.sort_unstable();
         ts
@@ -936,7 +988,7 @@ impl Matcher for Rete {
     fn apply(&mut self, changes: &[Change]) {
         for change in changes {
             match change {
-                Change::Added(w) => self.add_wme(w.clone()),
+                Change::Added(w) => self.add_wme(Arc::new(w.clone())),
                 Change::Removed(w) => self.remove_wme(&w.data.class.clone(), w.id),
             }
         }

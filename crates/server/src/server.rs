@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use dps_core::{ExternalTxn, ParallelConfig, ParallelEngine, ParallelReport};
 use dps_obs::AbortCause;
 use dps_rules::RuleSet;
-use dps_wm::{Value, WmeData, WorkingMemory};
+use dps_wm::{WmeData, WorkingMemory};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController, AdmissionStats};
 use crate::session::{SessionState, SessionTimeouts};
@@ -394,12 +394,10 @@ impl Server {
                 Request::Insert { class, attrs } => {
                     let mut data = WmeData::new(class);
                     for (k, v) in attrs {
-                        data.attrs.insert(k.into(), v);
+                        data.set(k, v);
                     }
-                    if self.config.stamp_session {
-                        data.attrs
-                            .entry("session".into())
-                            .or_insert(Value::Int(sid as i64));
+                    if self.config.stamp_session && data.get("session").is_none() {
+                        data.set("session", sid as i64);
                     }
                     let x = xt.as_mut().expect("InTxn implies open txn");
                     match self.engine.external_insert(x, data) {
@@ -522,6 +520,7 @@ mod tests {
     use super::*;
     use crate::transport::{loopback_pair, LoopbackConn};
     use dps_core::ParallelConfig;
+    use dps_wm::Value;
 
     fn accumulator_rules() -> RuleSet {
         RuleSet::parse(

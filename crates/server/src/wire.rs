@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 use dps_wm::{Value, WmeData};
 
@@ -238,7 +239,7 @@ fn get_value(buf: &[u8], at: &mut usize) -> io::Result<Value> {
 fn put_wme(buf: &mut Vec<u8>, data: &WmeData) {
     put_str(buf, data.class.as_ref());
     buf.extend_from_slice(&(data.attrs.len() as u16).to_le_bytes());
-    for (k, v) in &data.attrs {
+    for (k, v) in data.attrs.iter() {
         put_str(buf, k.as_ref());
         put_value(buf, v);
     }
@@ -259,7 +260,7 @@ fn get_wme(buf: &[u8], at: &mut usize) -> io::Result<WmeData> {
         let v = get_value(buf, at)?;
         attrs.insert(k.into(), v);
     }
-    Ok(WmeData { class: class.into(), attrs })
+    Ok(WmeData { class: class.into(), attrs: Arc::new(attrs) })
 }
 
 impl Request {

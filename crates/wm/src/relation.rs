@@ -122,7 +122,7 @@ impl Relation {
 
     /// Inserts a tuple. The caller (the store) guarantees id freshness.
     pub(crate) fn insert(&mut self, wme: Wme) {
-        for (attr, value) in &wme.data.attrs {
+        for (attr, value) in wme.data.attrs.iter() {
             self.index
                 .entry(attr.clone())
                 .or_default()
@@ -136,7 +136,7 @@ impl Relation {
     /// Removes a tuple, returning it when present.
     pub(crate) fn remove(&mut self, id: WmeId) -> Option<Wme> {
         let wme = self.tuples.remove(&id)?;
-        for (attr, value) in &wme.data.attrs {
+        for (attr, value) in wme.data.attrs.iter() {
             if let Some(by_val) = self.index.get_mut(attr) {
                 if let Some(ids) = by_val.get_mut(value) {
                     ids.remove(&id);
@@ -168,7 +168,7 @@ impl Relation {
             }
         }
         for wme in self.tuples.values() {
-            for (attr, value) in &wme.data.attrs {
+            for (attr, value) in wme.data.attrs.iter() {
                 let ok = self
                     .index
                     .get(attr)

@@ -1,6 +1,7 @@
 //! The working memory store.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::{
     Atom, Catalog, Change, Delta, DeltaSet, Relation, Timestamp, Value, WmError, Wme, WmeData,
@@ -174,12 +175,15 @@ impl WorkingMemory {
                     // OPS5 modify: remove + re-insert under the same id
                     // with a fresh timestamp.
                     let old = self.remove(*id).expect("validated above");
+                    // Copy on write: `old` (returned in the change log)
+                    // keeps the payload it was stored with.
                     let mut data = old.data.clone();
+                    let attrs = Arc::make_mut(&mut data.attrs);
                     for (k, v) in attr_changes {
                         if matches!(v, Value::Nil) {
-                            data.attrs.remove(k);
+                            attrs.remove(k);
                         } else {
-                            data.attrs.insert(k.clone(), v.clone());
+                            attrs.insert(k.clone(), v.clone());
                         }
                     }
                     let new = self.reinsert(*id, data);
@@ -292,6 +296,38 @@ mod tests {
         assert!(wb.timestamp > wa.timestamp);
         assert_eq!(wm.len(), 2);
         assert_eq!(wm.clock(), 2);
+    }
+
+    #[test]
+    fn modify_never_changes_a_payload_returned_earlier() {
+        let (mut wm, a, _) = seeded();
+        let inserted = wm.insert_full(WmeData::new("task").with("n", 10i64));
+        let before = wm.get(a).unwrap().clone();
+        let mut d = DeltaSet::new();
+        d.modify(a, [(Atom::from("n"), Value::Int(5))]);
+        d.modify(inserted.id, [(Atom::from("n"), Value::Nil)]);
+        let first = wm.apply(&d).unwrap();
+        let mut d = DeltaSet::new();
+        d.modify(
+            a,
+            [
+                (Atom::from("n"), Value::Int(6)),
+                (Atom::from("state"), Value::Nil),
+            ],
+        );
+        let second = wm.apply(&d).unwrap();
+        // Earlier handles keep their payload through both modifies.
+        assert_eq!(before.get("n"), Some(&Value::Int(1)));
+        assert_eq!(before.get("state"), Some(&Value::from("new")));
+        assert_eq!(inserted.get("n"), Some(&Value::Int(10)));
+        assert_eq!(first[0].wme().get("n"), Some(&Value::Int(1)));
+        assert_eq!(first[1].wme().get("n"), Some(&Value::Int(5)));
+        assert_eq!(first[1].wme().get("state"), Some(&Value::from("new")));
+        assert_eq!(first[3].wme().get("n"), None);
+        assert_eq!(second[0].wme().get("n"), Some(&Value::Int(5)));
+        assert_eq!(second[1].wme().get("n"), Some(&Value::Int(6)));
+        assert_eq!(second[1].wme().get("state"), None);
+        assert_eq!(wm.get(a).unwrap().get("n"), Some(&Value::Int(6)));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{Atom, Value};
 
@@ -43,8 +44,11 @@ pub struct WmeData {
     /// The class (relation name) this element belongs to.
     pub class: Atom,
     /// Attribute → value map. A `BTreeMap` keeps iteration deterministic,
-    /// which keeps matcher behaviour and test output reproducible.
-    pub attrs: BTreeMap<Atom, Value>,
+    /// which keeps matcher behaviour and test output reproducible. The map
+    /// is shared: cloning a payload (and so a [`Wme`]) bumps a reference
+    /// count, and every mutation copies on write, so a payload handed out
+    /// earlier never changes under its holder.
+    pub attrs: Arc<BTreeMap<Atom, Value>>,
 }
 
 impl WmeData {
@@ -52,20 +56,20 @@ impl WmeData {
     pub fn new(class: impl Into<Atom>) -> Self {
         WmeData {
             class: class.into(),
-            attrs: BTreeMap::new(),
+            attrs: Arc::default(),
         }
     }
 
     /// Builder-style attribute setter.
     #[must_use]
     pub fn with(mut self, attr: impl Into<Atom>, value: impl Into<Value>) -> Self {
-        self.attrs.insert(attr.into(), value.into());
+        self.set(attr, value);
         self
     }
 
-    /// Sets an attribute in place.
+    /// Sets an attribute, copying the map first if it is shared.
     pub fn set(&mut self, attr: impl Into<Atom>, value: impl Into<Value>) {
-        self.attrs.insert(attr.into(), value.into());
+        Arc::make_mut(&mut self.attrs).insert(attr.into(), value.into());
     }
 
     /// Gets an attribute value; absent attributes read as `None`.
@@ -105,7 +109,7 @@ impl Wme {
 impl fmt::Display for Wme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({} {} [t{}]", self.id, self.data.class, self.timestamp)?;
-        for (k, v) in &self.data.attrs {
+        for (k, v) in self.data.attrs.iter() {
             write!(f, " ^{k} {v}")?;
         }
         write!(f, ")")
@@ -149,6 +153,16 @@ mod tests {
             timestamp: 7,
         };
         assert_eq!(w.to_string(), "(w2 goal [t7] ^kind plan)");
+    }
+
+    #[test]
+    fn set_copies_a_shared_payload() {
+        let a = WmeData::new("c").with("a", 1i64);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.attrs, &b.attrs), "clone shares the map");
+        b.set("a", 2i64);
+        assert_eq!(a.get("a"), Some(&Value::Int(1)));
+        assert_eq!(b.get("a"), Some(&Value::Int(2)));
     }
 
     #[test]

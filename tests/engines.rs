@@ -209,22 +209,6 @@ fn order_fulfillment_converges_on_every_engine() {
 }
 
 #[test]
-fn partitioned_matcher_plugs_into_the_engine() {
-    use dbps::rete::PartitionedRete;
-    let (rules, wm) = dps_bench::workloads::order_fulfillment(4, 2);
-    let matcher = PartitionedRete::new(&rules, &wm);
-    let mut engine = SingleThreadEngine::with_matcher(
-        &rules,
-        wm.clone(),
-        matcher,
-        EngineConfig::default(),
-    );
-    let report = engine.run();
-    assert_eq!(report.commits, 4 * 4 + 2 * 2);
-    validate_trace(&rules, &wm, &report.trace).unwrap();
-}
-
-#[test]
 fn removal_cascade_terminates_everywhere() {
     // Consumers race to remove shared food; each firing consumes one.
     let rules = RuleSet::parse(
