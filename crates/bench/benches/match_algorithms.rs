@@ -124,54 +124,38 @@ fn hot_tuple_modify(c: &mut Criterion) {
     g.finish();
 }
 
-/// The drain-pattern micro-bench `conflict.rs` points at (`conflict_drain`):
-/// removing every instantiation that mentions one hot WME under large
-/// fan-outs. The drain moves the whole `by_wme` index set out in one
-/// `HashMap::remove` instead of cloning each key into a temporary `Vec`
-/// first. The per-iteration `clone` of the pre-built set is fixed noise.
-fn conflict_drain(c: &mut Criterion) {
-    use dps_match::{ConflictSet, Instantiation};
-    use dps_rules::{Bindings, RuleId};
-    use dps_wm::{Wme, WmeId};
+/// TREAT's purge on retraction: removing one hot WME that `fanout`
+/// instantiations matched, through TREAT's WME → instantiation index,
+/// next to an equal population of bystanders that must survive. The
+/// per-iteration `clone` of the pre-built matcher is fixed noise.
+fn treat_purge(c: &mut Criterion) {
+    use dps_rules::RuleSet;
 
-    let wme = |id: u64| Wme {
-        id: WmeId(id),
-        data: WmeData::new("c"),
-        timestamp: id,
-    };
-    // `fanout` instantiations all mentioning the hot WmeId(0), plus an
-    // equal population of bystanders that must survive the drain
-    // untouched.
-    let build = |fanout: usize| -> ConflictSet {
-        let mut cs = ConflictSet::new();
-        for i in 0..fanout as u64 {
-            cs.insert(Instantiation {
-                rule: RuleId(0),
-                wmes: vec![wme(0), wme(1_000 + 2 * i), wme(1_001 + 2 * i)],
-                bindings: Bindings::new(),
-                salience: 0,
-            });
-            cs.insert(Instantiation {
-                rule: RuleId(1 + (i % 8) as u32),
-                wmes: vec![wme(10_000 + 2 * i), wme(10_001 + 2 * i)],
-                bindings: Bindings::new(),
-                salience: 0,
-            });
-        }
-        cs
-    };
-
-    let mut g = c.benchmark_group("conflict_drain");
+    let rules = RuleSet::parse(
+        "(p take (hot ^k <k>) (x ^k <k>) --> (remove 2))
+         (p idle (y) --> (remove 1))",
+    )
+    .unwrap();
+    let mut g = c.benchmark_group("treat_purge");
     for &fanout in &[64usize, 512] {
-        let base = build(fanout);
+        let mut wm = WorkingMemory::new();
+        let hot = wm.insert(WmeData::new("hot").with("k", 1i64));
+        for _ in 0..fanout {
+            wm.insert(WmeData::new("x").with("k", 1i64));
+            wm.insert(WmeData::new("y"));
+        }
+        let base = Treat::new(&rules, &wm);
+        let removed = wm.get(hot).expect("hot is live").clone();
+        assert_eq!(base.conflict_set().len(), 2 * fanout);
         g.bench_with_input(
-            BenchmarkId::new("remove_mentioning", fanout),
+            BenchmarkId::new("remove_hot_wme", fanout),
             &fanout,
             |b, &fanout| {
                 b.iter(|| {
-                    let mut cs = base.clone();
-                    assert_eq!(cs.remove_mentioning(black_box(WmeId(0))), fanout);
-                    black_box(cs.len())
+                    let mut treat = base.clone();
+                    treat.apply(black_box(&[Change::Removed(removed.clone())]));
+                    assert_eq!(treat.conflict_set().len(), fanout);
+                    black_box(treat.conflict_set().len())
                 })
             },
         );
@@ -185,6 +169,6 @@ criterion_group!(
     incremental,
     negation_churn,
     hot_tuple_modify,
-    conflict_drain
+    treat_purge
 );
 criterion_main!(benches);

@@ -80,7 +80,7 @@ impl Footprint {
     /// delta.
     pub fn of(rule: &Rule, inst: &Instantiation, delta: &DeltaSet) -> Footprint {
         let mut fp = Footprint {
-            read_tuples: inst.wmes.iter().map(|w| w.id).collect(),
+            read_tuples: inst.wmes().map(|w| w.id).collect(),
             write_tuples: delta.written_ids().collect(),
             read_classes: rule
                 .conditions
@@ -93,7 +93,7 @@ impl Footprint {
         // A modify/remove of a tuple is also a class-level write as far
         // as negated readers of that class are concerned (a removal can
         // *enable* their negation; a modify re-inserts).
-        for w in &inst.wmes {
+        for w in inst.wmes() {
             if fp.write_tuples.contains(&w.id) {
                 fp.write_classes.insert(w.data.class.clone());
             }
@@ -129,7 +129,9 @@ impl Footprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dps_rules::{parser::parse_rule, Bindings};
+    use std::sync::Arc;
+
+    use dps_rules::parser::parse_rule;
     use dps_wm::{Wme, WmeData};
 
     fn wme(id: u64, class: &str) -> Wme {
@@ -141,12 +143,8 @@ mod tests {
     }
 
     fn inst_of(rule: &Rule, wmes: Vec<Wme>) -> Instantiation {
-        Instantiation {
-            rule: RuleId(0),
-            wmes,
-            bindings: Bindings::new(),
-            salience: rule.salience,
-        }
+        let chain = wmes.into_iter().map(|w| Some(Arc::new(w))).collect();
+        Instantiation::new(RuleId(0), rule.salience, chain, Arc::new([]))
     }
 
     #[test]

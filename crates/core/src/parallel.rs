@@ -1242,7 +1242,7 @@ impl ParallelEngine {
         // attribution surface only.
         let mut cond_resources: Vec<ResourceId> = Vec::new();
         let mut by_class: HashMap<&Atom, Vec<ResourceId>> = HashMap::new();
-        for w in &inst.wmes {
+        for w in inst.wmes() {
             by_class
                 .entry(&w.data.class)
                 .or_default()
@@ -1349,7 +1349,7 @@ impl ParallelEngine {
                 // tuple). Record the version sequence each read
                 // observed — the reads-from edges of the SI polygraph.
                 let versions = self.pipeline.versions();
-                for wme in &inst.wmes {
+                for wme in inst.wmes() {
                     match versions.version_at(wme.id, w) {
                         Some(v)
                             if v.state
@@ -1444,15 +1444,11 @@ impl ParallelEngine {
                 panic!("injected RHS panic (chaos plan rhs_panic_pm)");
             }
         }
-        let (delta, halt) = instantiate_actions(rule, &inst.bindings, &inst.wmes)
+        let (delta, halt) = instantiate_actions(rule, &inst.bindings(), &inst.matched())
             .map_err(|_| AbortCause::EvalError)?;
 
         // ---- action (RHS) locks ----
-        let mut reads: Vec<ResourceId> = inst
-            .wmes
-            .iter()
-            .map(|w| ResourceId::Tuple(w.id.0))
-            .collect();
+        let mut reads: Vec<ResourceId> = inst.wmes().map(|w| ResourceId::Tuple(w.id.0)).collect();
         reads.sort_unstable();
         reads.dedup();
         let mut writes: Vec<ResourceId> = delta
@@ -1464,7 +1460,7 @@ impl ParallelEngine {
         }
         // A modify/remove also escalates to its class's relation lock so
         // negated readers of the class are serialised against it.
-        for w in &inst.wmes {
+        for w in inst.wmes() {
             if delta.written_ids().any(|id| id == w.id) {
                 writes.push(self.relation_resource(&w.data.class));
             }
@@ -1555,7 +1551,7 @@ impl ParallelEngine {
         if occ && !(elide && self.config.elide_misclassify) {
             let fast_ok = {
                 let versions = self.pipeline.versions();
-                inst.wmes.iter().all(|w| {
+                inst.wmes().all(|w| {
                     versions
                         .latest(w.id)
                         .is_some_and(|s| s.timestamp == w.timestamp)

@@ -275,7 +275,8 @@ pub fn enumerate_concrete(
         }
         for inst in insts {
             let rule = rules.get(inst.rule).expect("known rule");
-            let Ok((delta, halt)) = instantiate_actions(rule, &inst.bindings, &inst.wmes) else {
+            let Ok((delta, halt)) = instantiate_actions(rule, &inst.bindings(), &inst.matched())
+            else {
                 continue;
             };
             let mut wm2 = wm.clone();

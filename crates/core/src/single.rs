@@ -151,7 +151,7 @@ impl<M: Matcher> SingleThreadEngine<M> {
             _ => None,
         };
         // execute — the commit skeleton is the one shared by all engines.
-        let (delta, halt) = instantiate_actions(rule, &inst.bindings, &inst.wmes)
+        let (delta, halt) = instantiate_actions(rule, &inst.bindings(), &inst.matched())
             .expect("validated rule instantiates");
         let t2 = match (&self.obs, t1) {
             (Some(obs), Some(t)) => {

@@ -160,7 +160,8 @@ impl StaticParallelEngine {
         let mut prepared: Vec<(Instantiation, DeltaSet, bool, Footprint)> = Vec::new();
         for inst in candidates {
             let rule = self.rules.get(inst.rule).expect("known rule");
-            let Ok((delta, halt)) = instantiate_actions(rule, &inst.bindings, &inst.wmes) else {
+            let Ok((delta, halt)) = instantiate_actions(rule, &inst.bindings(), &inst.matched())
+            else {
                 continue; // runtime eval error (e.g. div by zero): skip
             };
             let fp = Footprint::of(rule, &inst, &delta);

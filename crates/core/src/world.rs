@@ -73,7 +73,7 @@ mod tests {
         let mut world = World { wm, matcher };
         let inst = world.matcher.conflict_set().iter().next().unwrap().clone();
         let rule = rules.get(inst.rule).unwrap();
-        let (delta, halt) = instantiate_actions(rule, &inst.bindings, &inst.wmes).unwrap();
+        let (delta, halt) = instantiate_actions(rule, &inst.bindings(), &inst.matched()).unwrap();
         let key = inst.key();
         let mut refracted = HashSet::new();
         let mut trace = Trace::default();

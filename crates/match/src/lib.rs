@@ -51,7 +51,7 @@ mod treat;
 
 pub use alpha::{AlphaMemId, AlphaNetwork};
 pub use conflict::ConflictSet;
-pub use instantiation::{InstKey, Instantiation};
+pub use instantiation::{Chain, InstKey, Instantiation};
 pub use resolve::Strategy;
 pub use rete::Rete;
 pub use shard::{ShardPlan, ShardedRete, DEFAULT_MATCH_SHARDS};

@@ -96,7 +96,9 @@ impl Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dps_rules::{Bindings, RuleId};
+    use std::sync::Arc;
+
+    use dps_rules::RuleId;
     use dps_wm::{Wme, WmeData, WmeId};
 
     fn wme(id: u64, ts: u64) -> Wme {
@@ -108,16 +110,12 @@ mod tests {
     }
 
     fn inst(rule: u32, salience: i32, stamps: &[u64]) -> Instantiation {
-        Instantiation {
-            rule: RuleId(rule),
-            wmes: stamps
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| wme(100 + i as u64 + 10 * rule as u64, t))
-                .collect(),
-            bindings: Bindings::new(),
-            salience,
-        }
+        let chain = stamps
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| Some(Arc::new(wme(100 + i as u64 + 10 * rule as u64, t))))
+            .collect();
+        Instantiation::new(RuleId(rule), salience, chain, Arc::new([]))
     }
 
     fn set(insts: Vec<Instantiation>) -> ConflictSet {

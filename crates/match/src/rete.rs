@@ -12,8 +12,8 @@
 //!   beta memory, or a negative node (holding the tokens whose negated
 //!   pattern currently has **no** match). Join nodes test variable
 //!   consistency between a source's tokens and an alpha memory and feed
-//!   the next beta memory. Production nodes materialise complete tokens
-//!   as [`Instantiation`]s in the conflict set.
+//!   the next beta memory. Production nodes deliver complete tokens to
+//!   the conflict set as [`Instantiation`]s that view the token's chain.
 //! * **Sharing**: alpha memories are shared by constant-test signature;
 //!   join, memory and negative nodes are shared by
 //!   `(parent, alpha memory, tests)`, so rules with common LHS prefixes
@@ -35,17 +35,19 @@
 //! (alpha memories, tokens and chains share them), and every token owns
 //! its condition-indexed chain, built once when the token is allocated.
 //! Join tests, index probes and production delivery read that chain in
-//! place; nothing on an activation path clones a WME's payload.
+//! place; nothing on an activation path clones a WME's payload. An
+//! instantiation shares the chain and its rule's binding sites, so a
+//! delivery allocates only the instantiation's key.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use dps_rules::{Bindings, Condition, Predicate, Rule, RuleId, RuleSet, TestAtom, VarName};
+use dps_rules::{BindingSite, Condition, Predicate, Rule, RuleId, RuleSet, TestAtom, VarName};
 use dps_wm::{Atom, Change, Timestamp, Value, Wme, WmeId, WorkingMemory};
 
 use crate::alpha::index_key;
 use crate::idhash::{IdMap, IdSet};
-use crate::{AlphaMemId, AlphaNetwork, ConflictSet, InstKey, Instantiation, Matcher};
+use crate::{AlphaMemId, AlphaNetwork, Chain, ConflictSet, InstKey, Instantiation, Matcher};
 
 /// Index of a node in the Rete graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -80,11 +82,6 @@ struct JoinTest {
     /// Right operand source.
     target: TestTarget,
 }
-
-/// A token's condition-indexed WME chain: entry `c` is the WME matched
-/// at condition `c`, `None` for a negated condition. Shared, so handing a
-/// chain out of the token table is one reference-count bump.
-type Chain = Arc<[Option<Arc<Wme>>]>;
 
 /// A token: a partial match covering conditions `0..=level`.
 #[derive(Clone, Debug)]
@@ -138,14 +135,13 @@ enum Node {
         tokens: BTreeSet<TokenId>,
         children: Arc<[NodeId]>,
     },
-    /// Terminal node: materialises instantiations.
+    /// Terminal node: delivers complete tokens to the conflict set as
+    /// instantiations viewing the token's chain.
     Production {
         rule: RuleId,
         salience: i32,
-        /// var → (condition index, attribute) for binding extraction.
-        binding_map: Vec<(VarName, usize, Atom)>,
-        /// Which condition indices are positive (for wme extraction).
-        positive_conds: Vec<usize>,
+        /// The rule's binding sites, shared by its instantiations.
+        sites: Arc<[BindingSite]>,
         /// final token → instantiation key in the conflict set.
         insts: IdMap<TokenId, Arc<InstKey>>,
     },
@@ -291,16 +287,8 @@ impl Rete {
     // -------------------------------------------------------------
 
     fn compile_rule(&mut self, id: RuleId, rule: &Rule) {
-        // First Eq occurrence of each variable in a positive CE.
-        let mut binding_map: Vec<(VarName, usize, Atom)> = Vec::new();
-        fn bound_at(map: &[(VarName, usize, Atom)], var: &VarName) -> Option<(usize, Atom)> {
-            map.iter()
-                .find(|(v, _, _)| v == var)
-                .map(|(_, c, a)| (*c, a.clone()))
-        }
-
+        let sites: Arc<[BindingSite]> = rule.binding_sites().into();
         let mut source = self.top;
-        let mut positive_conds = Vec::new();
         for (ci, cond) in rule.conditions.iter().enumerate() {
             let ce = cond.ce();
             let amem = self.alpha.register(ce);
@@ -313,7 +301,11 @@ impl Rete {
                 let TestAtom::Var(var) = &t.operand else {
                     continue;
                 };
-                let global = bound_at(&binding_map, var);
+                // A site at an earlier condition makes this a join test.
+                let global = sites
+                    .iter()
+                    .find(|s| &s.var == var && s.cond < ci)
+                    .map(|s| (s.cond, s.attr.clone()));
                 let local = local_first
                     .iter()
                     .find(|(v, _)| v == var)
@@ -322,9 +314,6 @@ impl Rete {
                     // Binding occurrence: variable not seen anywhere yet.
                     (Predicate::Eq, None, None) => {
                         local_first.push((var.clone(), t.attr.clone()));
-                        if let Condition::Pos(_) = cond {
-                            binding_map.push((var.clone(), ci, t.attr.clone()));
-                        }
                     }
                     // Test against an earlier condition's binding.
                     (p, Some((cond_idx, attr)), None) => {
@@ -353,7 +342,6 @@ impl Rete {
 
             match cond {
                 Condition::Pos(_) => {
-                    positive_conds.push(ci);
                     source = self.get_or_make_join(source, amem, tests);
                 }
                 Condition::Neg(_) => {
@@ -367,8 +355,7 @@ impl Rete {
         self.nodes.push(Node::Production {
             rule: id,
             salience: rule.salience,
-            binding_map,
-            positive_conds,
+            sites,
             insts: IdMap::default(),
         });
         self.add_child(source, pnode);
@@ -802,34 +789,15 @@ impl Rete {
         let Node::Production {
             rule,
             salience,
-            binding_map,
-            positive_conds,
+            sites,
             insts,
         } = &mut self.nodes[pnode.0]
         else {
             unreachable!()
         };
-        let mut bindings = Bindings::new();
-        for (var, cond, attr) in binding_map.iter() {
-            if let Some(Some(w)) = chain.get(*cond) {
-                bindings.bind(var.clone(), w.get_or_nil(attr.as_str()));
-            }
-        }
-        let wmes: Vec<Wme> = positive_conds
-            .iter()
-            .filter_map(|&c| chain.get(c)?.as_deref().cloned())
-            .collect();
-        let key = Arc::new(InstKey {
-            rule: *rule,
-            wmes: wmes.iter().map(|w| (w.id, w.timestamp)).collect(),
-        });
+        let inst = Instantiation::new(*rule, *salience, Arc::clone(chain), Arc::clone(sites));
+        let key = Arc::new(inst.key());
         insts.insert(token, Arc::clone(&key));
-        let inst = Instantiation {
-            rule: *rule,
-            wmes,
-            bindings,
-            salience: *salience,
-        };
         self.conflict.insert_keyed(key, inst);
     }
 
@@ -1206,9 +1174,9 @@ mod tests {
             WmeData::new("job").with("id", 7i64).with("cost", 3i64),
         );
         let inst = rete.conflict_set().iter().next().unwrap();
-        assert_eq!(inst.bindings.get("j"), Some(&Value::Int(7)));
-        assert_eq!(inst.bindings.get("c"), Some(&Value::Int(3)));
-        assert_eq!(inst.wmes.len(), 1);
+        assert_eq!(inst.bindings().get("j"), Some(&Value::Int(7)));
+        assert_eq!(inst.bindings().get("c"), Some(&Value::Int(3)));
+        assert_eq!(inst.wmes().count(), 1);
     }
 
     #[test]
@@ -1217,8 +1185,9 @@ mod tests {
         let mut rete = Rete::new(&rules, &wm);
         apply_insert(&mut rete, &mut wm, WmeData::new("go").with("id", 4i64));
         let inst = rete.conflict_set().iter().next().unwrap();
-        assert_eq!(inst.wmes.len(), 1);
-        assert_eq!(inst.wmes[0].class().as_str(), "go");
+        let wmes: Vec<&Wme> = inst.wmes().collect();
+        assert_eq!(wmes.len(), 1);
+        assert_eq!(wmes[0].class().as_str(), "go");
     }
 
     #[test]

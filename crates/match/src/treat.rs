@@ -4,18 +4,20 @@
 //! TREAT keeps the same shared alpha network as Rete but no beta state.
 //! When a WME arrives, instantiations are computed by joining the alpha
 //! memories with the new WME pinned at each condition it matches; when a
-//! WME is retracted, the conflict set is purged by index, and rules whose
-//! *negated* patterns lost a match are re-joined. This is the classic
+//! WME is retracted, the conflict set is purged through TREAT's own
+//! WME → instantiation index, and rules whose *negated* patterns lost a
+//! match are re-joined. This is the classic
 //! state-versus-recomputation trade-off against [`crate::Rete`], which
 //! the `dps-bench` crate measures (experiment X4).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dps_rules::{match_ce, Bindings, Condition, Rule, RuleId, RuleSet};
+use dps_rules::{match_ce, BindingSite, Bindings, Condition, Rule, RuleId, RuleSet};
 use dps_wm::{Change, Wme, WmeId, WorkingMemory};
 
-use crate::{AlphaMemId, AlphaNetwork, ConflictSet, Instantiation, Matcher};
+use crate::idhash::{IdMap, IdSet};
+use crate::{AlphaMemId, AlphaNetwork, ConflictSet, InstKey, Instantiation, Matcher};
 
 /// Per-rule compiled form: each condition with its alpha memory.
 #[derive(Clone, Debug)]
@@ -24,6 +26,8 @@ struct CompiledRule {
     rule: Rule,
     /// Alpha memory of each condition, in condition order.
     amems: Vec<AlphaMemId>,
+    /// The rule's binding sites, shared by its instantiations.
+    sites: Arc<[BindingSite]>,
 }
 
 /// Counters for the recomputation work TREAT performs.
@@ -43,6 +47,9 @@ pub struct Treat {
     /// amem → (rule index, condition index) pairs reading it.
     readers: HashMap<AlphaMemId, Vec<(usize, usize)>>,
     conflict: ConflictSet,
+    /// WME id → keys of the instantiations that matched it, for the
+    /// purge on retraction. An entry lives as long as its WME.
+    by_wme: IdMap<WmeId, IdSet<Arc<InstKey>>>,
     stats: TreatStats,
 }
 
@@ -65,6 +72,7 @@ impl Treat {
                 id,
                 rule: rule.clone(),
                 amems,
+                sites: rule.binding_sites().into(),
             });
         }
         let mut treat = Treat {
@@ -72,10 +80,11 @@ impl Treat {
             rules: compiled,
             readers,
             conflict: ConflictSet::new(),
+            by_wme: IdMap::default(),
             stats: TreatStats::default(),
         };
         for wme in wm.iter() {
-            treat.add_wme(wme.clone());
+            treat.add_wme(Arc::new(wme.clone()));
         }
         treat
     }
@@ -87,24 +96,26 @@ impl Treat {
 
     /// Recursive join over the rule's conditions. `pin` fixes one
     /// condition to one WME (the arriving one); `None` joins freely.
+    /// `acc` is the chain so far: the WME matched at each positive
+    /// condition, `None` at each negated one.
     #[allow(clippy::too_many_arguments)]
     fn join(
         &self,
         cr: &CompiledRule,
-        pin: Option<(usize, &Wme)>,
+        pin: Option<(usize, &Arc<Wme>)>,
         ci: usize,
         bindings: Bindings,
-        acc: &mut Vec<Wme>,
+        acc: &mut Vec<Option<Arc<Wme>>>,
         out: &mut Vec<Instantiation>,
         candidates_seen: &mut u64,
     ) {
         if ci == cr.rule.conditions.len() {
-            out.push(Instantiation {
-                rule: cr.id,
-                wmes: acc.clone(),
-                bindings,
-                salience: cr.rule.salience,
-            });
+            out.push(Instantiation::new(
+                cr.id,
+                cr.rule.salience,
+                acc.as_slice().into(),
+                Arc::clone(&cr.sites),
+            ));
             return;
         }
         let cond = &cr.rule.conditions[ci];
@@ -115,7 +126,7 @@ impl Treat {
                     if pinned_ci == ci {
                         *candidates_seen += 1;
                         if let Some(b) = match_ce(ce, w, &bindings) {
-                            acc.push(w.clone());
+                            acc.push(Some(Arc::clone(w)));
                             self.join(cr, pin, ci + 1, b, acc, out, candidates_seen);
                             acc.pop();
                         }
@@ -126,7 +137,7 @@ impl Treat {
                 for w in mem.wmes() {
                     *candidates_seen += 1;
                     if let Some(b) = match_ce(ce, w, &bindings) {
-                        acc.push(Wme::clone(w));
+                        acc.push(Some(Arc::clone(w)));
                         self.join(cr, pin, ci + 1, b, acc, out, candidates_seen);
                         acc.pop();
                     }
@@ -139,7 +150,9 @@ impl Treat {
                     match_ce(ce, w, &bindings).is_some()
                 });
                 if !blocked {
+                    acc.push(None);
                     self.join(cr, pin, ci + 1, bindings, acc, out, candidates_seen);
+                    acc.pop();
                 }
             }
         }
@@ -148,7 +161,7 @@ impl Treat {
     fn compute_instantiations(
         &mut self,
         rule_idx: usize,
-        pin: Option<(usize, &Wme)>,
+        pin: Option<(usize, &Arc<Wme>)>,
     ) -> Vec<Instantiation> {
         let cr = self.rules[rule_idx].clone();
         let mut out = Vec::new();
@@ -159,8 +172,30 @@ impl Treat {
         out
     }
 
-    fn add_wme(&mut self, wme: Wme) {
-        let hits = self.alpha.add_wme(Arc::new(wme.clone()));
+    /// Inserts into the conflict set and the WME index.
+    fn insert(&mut self, inst: Instantiation) {
+        let key = Arc::new(inst.key());
+        if self.conflict.insert_keyed(Arc::clone(&key), inst) {
+            for &(id, _) in &key.wmes {
+                self.by_wme.entry(id).or_default().insert(Arc::clone(&key));
+            }
+        }
+    }
+
+    /// Removes from the conflict set and the WME index (tolerates an
+    /// already-drained index entry).
+    fn remove(&mut self, key: &InstKey) {
+        if self.conflict.remove(key).is_some() {
+            for (id, _) in &key.wmes {
+                if let Some(set) = self.by_wme.get_mut(id) {
+                    set.remove(key);
+                }
+            }
+        }
+    }
+
+    fn add_wme(&mut self, wme: Arc<Wme>) {
+        let hits = self.alpha.add_wme(Arc::clone(&wme));
         let mut positive_sites: Vec<(usize, usize)> = Vec::new();
         let mut negative_rules: Vec<usize> = Vec::new();
         for amem in hits {
@@ -177,34 +212,27 @@ impl Treat {
         negative_rules.dedup();
         for ri in negative_rules {
             let cr = &self.rules[ri];
-            let negated: Vec<usize> = cr
-                .rule
-                .conditions
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.is_negated())
-                .map(|(i, _)| i)
-                .collect();
-            let rule_id = cr.id;
-            let doomed: Vec<crate::InstKey> = self
+            let doomed: Vec<InstKey> = self
                 .conflict
-                .of_rule(rule_id)
-                .filter(|inst| {
-                    negated.iter().any(|&ci| {
-                        let ce = self.rules[ri].rule.conditions[ci].ce();
-                        match_ce(ce, &wme, &inst.bindings).is_some()
-                    })
+                .iter_keyed()
+                .filter(|(_, inst)| inst.rule == cr.id)
+                .filter(|(_, inst)| {
+                    let bindings = inst.bindings();
+                    cr.rule
+                        .conditions
+                        .iter()
+                        .any(|c| c.is_negated() && match_ce(c.ce(), &wme, &bindings).is_some())
                 })
-                .map(Instantiation::key)
+                .map(|(k, _)| k.clone())
                 .collect();
             for k in doomed {
-                self.conflict.remove(&k);
+                self.remove(&k);
             }
         }
         // 2. The new WME may enable instantiations at positive positions.
         for (ri, ci) in positive_sites {
             for inst in self.compute_instantiations(ri, Some((ci, &wme))) {
-                self.conflict.insert(inst);
+                self.insert(inst);
             }
         }
     }
@@ -212,7 +240,9 @@ impl Treat {
     fn remove_wme(&mut self, wme: &Wme) {
         let hits = self.alpha.remove_wme(&wme.data.class, wme.id);
         // 1. Drop everything that matched it positively.
-        self.conflict.remove_mentioning(wme.id);
+        for key in self.by_wme.remove(&wme.id).unwrap_or_default() {
+            self.remove(&key);
+        }
         // 2. Its disappearance may enable rules that it blocked via a
         //    negated CE: re-join those rules from scratch.
         let mut rejoin: Vec<usize> = Vec::new();
@@ -228,7 +258,7 @@ impl Treat {
         for ri in rejoin {
             self.stats.rejoin_passes += 1;
             for inst in self.compute_instantiations(ri, None) {
-                self.conflict.insert(inst); // idempotent
+                self.insert(inst); // idempotent
             }
         }
     }
@@ -249,7 +279,7 @@ impl Matcher for Treat {
     fn apply(&mut self, changes: &[Change]) {
         for change in changes {
             match change {
-                Change::Added(w) => self.add_wme(w.clone()),
+                Change::Added(w) => self.add_wme(Arc::new(w.clone())),
                 Change::Removed(w) => self.remove_wme(w),
             }
         }

@@ -264,6 +264,18 @@ pub enum Action {
     Halt,
 }
 
+/// Where a rule's LHS binds one variable (see [`Rule::binding_sites`]):
+/// the value of `attr` in the WME matched at condition `cond`.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct BindingSite {
+    /// The bound variable.
+    pub var: VarName,
+    /// Condition index, 0-based over *all* conditions.
+    pub cond: usize,
+    /// Attribute of the WME matched there.
+    pub attr: Atom,
+}
+
 /// A production rule.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Rule {
@@ -289,6 +301,33 @@ impl Rule {
             .iter()
             .filter(|c| !c.is_negated())
             .map(Condition::ce)
+    }
+
+    /// Where the LHS binds each of its variables: the first `=`
+    /// occurrence of the variable in a positive CE, in occurrence order.
+    /// A variable bound only inside a negated CE has no site (its binding
+    /// does not escape the CE); one that a later positive CE binds gets
+    /// that CE's site. The matchers derive an instantiation's bindings
+    /// from these sites and its matched WMEs.
+    pub fn binding_sites(&self) -> Vec<BindingSite> {
+        let mut sites: Vec<BindingSite> = Vec::new();
+        for (cond, c) in self.conditions.iter().enumerate() {
+            let Condition::Pos(ce) = c else {
+                continue;
+            };
+            for t in &ce.tests {
+                if let (Predicate::Eq, TestAtom::Var(var)) = (&t.predicate, &t.operand) {
+                    if !sites.iter().any(|s| &s.var == var) {
+                        sites.push(BindingSite {
+                            var: var.clone(),
+                            cond,
+                            attr: t.attr.clone(),
+                        });
+                    }
+                }
+            }
+        }
+        sites
     }
 
     /// Structural validation:
@@ -659,5 +698,38 @@ mod tests {
         assert_eq!(ce.variable_tests().count(), 2);
         assert_eq!(ce.bindable_vars().count(), 1);
         assert_eq!(ce.mentioned_vars().count(), 2);
+    }
+
+    fn sites_of(src: &str) -> Vec<(String, usize, String)> {
+        crate::parser::parse_rule(src)
+            .unwrap()
+            .binding_sites()
+            .into_iter()
+            .map(|s| (s.var.to_string(), s.cond, s.attr.to_string()))
+            .collect()
+    }
+
+    fn site(var: &str, cond: usize, attr: &str) -> (String, usize, String) {
+        (var.to_string(), cond, attr.to_string())
+    }
+
+    #[test]
+    fn binding_site_skips_negated_local_for_later_positive_binder() {
+        // <x> inside the negated CE is local to it; the site is the
+        // later positive CE that binds <x>.
+        let sites = sites_of("(p r (a ^id <a>) -(b ^k <x>) (c ^k <x>) --> (remove 1))");
+        assert_eq!(sites, [site("a", 0, "id"), site("x", 2, "k")]);
+    }
+
+    #[test]
+    fn binding_site_ignores_predicate_occurrences() {
+        let sites = sites_of("(p r (order ^qty <q>) (stock ^on-hand >= <q>) --> (remove 1))");
+        assert_eq!(sites, [site("q", 0, "qty")]);
+    }
+
+    #[test]
+    fn binding_site_is_first_occurrence_within_a_ce() {
+        let sites = sites_of("(p r (pair ^l <v> ^r <v>) (c ^k <v>) --> (remove 1))");
+        assert_eq!(sites, [site("v", 0, "l")]);
     }
 }

@@ -33,13 +33,6 @@ impl Bindings {
         self.map.contains_key(var)
     }
 
-    /// Binds a variable. Returns the previous value when rebinding (the
-    /// matcher treats a rebind attempt with a different value as a failed
-    /// consistency test and never calls this in that case).
-    pub fn bind(&mut self, var: VarName, value: Value) -> Option<Value> {
-        self.map.insert(var, value)
-    }
-
     /// Attempts to unify `var` with `value`: binds when unbound, succeeds
     /// when already bound to a loosely equal value, fails otherwise.
     pub fn unify(&mut self, var: &VarName, value: &Value) -> bool {

@@ -271,8 +271,7 @@ mod tests {
             "a",
             vec![t("x", Predicate::Eq, TestAtom::Var(Atom::from("v")))],
         );
-        let mut b = Bindings::new();
-        b.bind(Atom::from("v"), Value::Int(9));
+        let b: Bindings = [(Atom::from("v"), Value::Int(9))].into_iter().collect();
         assert!(match_ce(&c, &wme("a", &[("x", Value::Int(9))]), &b).is_some());
         assert!(match_ce(&c, &wme("a", &[("x", Value::Int(8))]), &b).is_none());
     }
@@ -283,8 +282,7 @@ mod tests {
             "a",
             vec![t("x", Predicate::Lt, TestAtom::Var(Atom::from("v")))],
         );
-        let mut b = Bindings::new();
-        b.bind(Atom::from("v"), Value::Int(10));
+        let b: Bindings = [(Atom::from("v"), Value::Int(10))].into_iter().collect();
         assert!(match_ce(&c, &wme("a", &[("x", Value::Int(5))]), &b).is_some());
         assert!(match_ce(&c, &wme("a", &[("x", Value::Int(15))]), &b).is_none());
         // Unbound comparison variable → no match rather than panic.
@@ -351,8 +349,7 @@ mod tests {
 
     #[test]
     fn expr_arithmetic() {
-        let mut b = Bindings::new();
-        b.bind(Atom::from("x"), Value::Int(7));
+        let b: Bindings = [(Atom::from("x"), Value::Int(7))].into_iter().collect();
         let e = Expr::bin(
             Op::Mul,
             Expr::Var(Atom::from("x")),

@@ -46,7 +46,8 @@ pub mod parser;
 mod ruleset;
 
 pub use ast::{
-    Action, AttrTest, Condition, ConditionElement, Expr, Op, Predicate, Rule, TestAtom, VarName,
+    Action, AttrTest, BindingSite, Condition, ConditionElement, Expr, Op, Predicate, Rule,
+    TestAtom, VarName,
 };
 pub use bindings::Bindings;
 pub use error::RuleError;
